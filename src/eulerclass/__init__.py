@@ -4,11 +4,9 @@ from .catalog import CatalogEntry, UnknownNameError, entries, lookup
 from .crystal import CrystGroup, centralizer_is_infinite, fixed_sublattice, make_cryst, maps_onto_Z
 from .euler import (
     Characteristic,
-    EulerCharacter,
     InvalidCharacteristicError,
     OrderResult,
     PreconditionError,
-    euler_character,
     exact_order,
     fpf_group_shape_check,
     has_finite_order,
@@ -26,7 +24,6 @@ from .fingroup import (
     element_order,
     p_decompose,
     p_regular_elements,
-    p_subgroups,
 )
 from .intmat import (
     IntMatrix,

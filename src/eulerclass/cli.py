@@ -19,10 +19,10 @@ import time
 from . import catalog as catalog_mod
 from .crystal import CrystGroup, fixed_sublattice, make_cryst, maps_onto_Z
 from .euler import (
+    Characteristic,
     InvalidCharacteristicError,
     exact_order,
     has_finite_order,
-    is_prime,
     lower_bound,
     upper_bound_p_part,
 )
@@ -35,11 +35,6 @@ EXIT_SELFTEST = 1
 EXIT_PARSE = 2
 EXIT_GROUP = 3
 EXIT_CHAR = 4
-
-
-def _check_char(p: int) -> None:
-    if p != 0 and not is_prime(p):
-        raise InvalidCharacteristicError(f"characteristic must be 0 or a prime, got {p}")
 
 
 def _element_table(cryst: CrystGroup) -> list[dict]:
@@ -104,7 +99,7 @@ def _print_report(report: dict, as_json: bool) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        _check_char(args.char)
+        Characteristic(args.char)
     except InvalidCharacteristicError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CHAR
@@ -159,7 +154,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     p = args.char if args.char is not None else 0
     try:
-        _check_char(p)
+        Characteristic(p)
     except InvalidCharacteristicError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CHAR

@@ -17,7 +17,6 @@ from .intmat import IntMatrix, Lattice, det_one_minus, fixed_lattice_of_rank
 class CrystGroup:
     rank: int
     point_group: PointGroup
-    action_kernel: PointGroup  # always trivial for matrix-defined point groups
 
     @property
     def name(self) -> str:
@@ -30,9 +29,7 @@ def make_cryst(rank: int, generators: list[IntMatrix], cap: int = DEFAULT_CAP) -
     for g in generators:
         if g.n != rank:
             raise ValueError(f"generator dimension {g.n} does not match rank {rank}")
-    group = closure(generators, cap=cap, n=rank)
-    kernel = closure([], n=rank)
-    return CrystGroup(rank, group, kernel)
+    return CrystGroup(rank, closure(generators, cap=cap, n=rank))
 
 
 def fixed_sublattice(cryst: CrystGroup) -> Lattice:

@@ -8,18 +8,12 @@ and a decision tree that returns the exact order in every classified case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .crystal import CrystGroup, fixed_sublattice
-from .fingroup import (
-    PointGroup,
-    all_subgroups,
-    element_order,
-    p_regular_elements,
-    p_subgroups,
-)
-from .intmat import IntMatrix, det, det_one_minus, det_one_minus_via_traces
+from .fingroup import PointGroup, element_order, p_part, p_regular_elements, power
+from .intmat import IntMatrix, det, det_one_minus, det_one_minus_via_traces, mul
 
 
 class InvalidCharacteristicError(ValueError):
@@ -49,7 +43,7 @@ class Characteristic:
 
     def __post_init__(self) -> None:
         if self.p != 0 and not is_prime(self.p):
-            raise InvalidCharacteristicError(f"characteristic must be 0 or prime, got {self.p}")
+            raise InvalidCharacteristicError(f"characteristic must be 0 or a prime, got {self.p}")
 
     @property
     def positive(self) -> bool:
@@ -112,20 +106,6 @@ class OrderResult:
         return f"Bounded({self.lower}, {self.upper_p_part})"
 
 
-@dataclass(frozen=True)
-class EulerCharacter:
-    """The character x -> det(1 - x) on the point group."""
-
-    values: dict[IntMatrix, int] = field(hash=False)
-
-    def __getitem__(self, g: IntMatrix) -> int:
-        return self.values[g]
-
-
-def euler_character(cryst: CrystGroup) -> EulerCharacter:
-    return EulerCharacter({g: det_one_minus(g) for g in cryst.point_group})
-
-
 def has_finite_order(cryst: CrystGroup, char: Characteristic | int) -> bool:
     """Finiteness of the Euler class: det(1 - x) = 0 on all p-regular x."""
     p = _char(char).p
@@ -148,35 +128,46 @@ def _acts_fixed_point_freely(elements) -> bool:
 
 def lower_bound(cryst: CrystGroup, p: int) -> int:
     """Largest order of a p-subgroup acting fixed-point-freely; divides the
-    order of the Euler class whenever that order is finite."""
+    order of the Euler class whenever that order is finite.
+
+    Such a subgroup is cyclic or generalized quaternion (Burnside, Zassenhaus;
+    Wolf, Spaces of Constant Curvature, ch. 5). A cyclic <x> of order p^k acts
+    fixed-point-freely iff x^(p^(k-1)) does: every x^j != 1 has a power that
+    generates the same subgroup of order p. The only fixed-point-free integral
+    involution is -I, so for p = 2 a quaternion subgroup is <a, b> with a, b
+    fixed-point-free, ord(a) >= 4, ord(b) = 4 and a b a = b (b inverts a, and
+    b^2 = -I = a^(ord(a)/2)); its order is 2 ord(a).
+    """
     if not is_prime(p):
         raise InvalidCharacteristicError(f"lower_bound needs a prime, got {p}")
-    best = 1
-    for h in p_subgroups(cryst.point_group, p):
-        if _acts_fixed_point_freely(h.elements):
-            best = max(best, h.order)
+    fpf: dict[IntMatrix, int] = {}
+    for x in cryst.point_group.elements:
+        k = element_order(x)
+        if k > 1 and p_part(k, p) == k and det_one_minus(power(x, k // p)) != 0:
+            fpf[x] = k
+    best = max(fpf.values(), default=1)
+    if p == 2:
+        order_four = [b for b, k in fpf.items() if k == 4]
+        for a, k in fpf.items():
+            # any b makes best >= 4, so this also rules out ord(a) = 2
+            if 2 * k > best and any(mul(mul(a, b), a) == b for b in order_four):
+                best = 2 * k
     return best
 
 
 def upper_bound_p_part(cryst: CrystGroup, p: int) -> int:
-    """Largest p-subgroup order (the p-part of |G|); bounds the p-part of the
-    order of the Euler class. Says nothing about other primes."""
+    """Largest p-subgroup order, which by Sylow's theorem is the p-part of
+    |G|; bounds the p-part of the order of the Euler class. Says nothing
+    about other primes."""
     if not is_prime(p):
         raise InvalidCharacteristicError(f"upper_bound_p_part needs a prime, got {p}")
-    return max(h.order for h in p_subgroups(cryst.point_group, p))
+    return p_part(cryst.point_group.order, p)
 
 
 def order_divisor(delta: int, dim: int) -> int:
     """delta / gcd(delta, dim): the guaranteed divisor of the order of a
     dim-dimensional class when projectives have dimension-gcd delta."""
     return delta // gcd(delta, dim)
-
-
-def _is_p_group(group: PointGroup, p: int) -> bool:
-    m = group.order
-    while m % p == 0:
-        m //= p
-    return m == 1
 
 
 def _sl_part(group: PointGroup) -> list[IntMatrix]:
@@ -214,13 +205,8 @@ def exact_order(cryst: CrystGroup, char: Characteristic | int) -> OrderResult:
         prov.append("sec-5.1")
         return OrderResult.trivial(tuple(prov))
 
-    if p > 0 and _is_p_group(g, p) and _acts_fixed_point_freely(g.elements):
+    if p > 0 and p_part(g.order, p) == g.order and _acts_fixed_point_freely(g.elements):
         prov.append("sec-5.3.1")
-        return OrderResult.known(g.order, tuple(prov))
-
-    if is_prime(g.order) and p == g.order:
-        # fixed-point-free (triviality was ruled out above), |G| = p
-        prov.append("sec-5.3.2")
         return OrderResult.known(g.order, tuple(prov))
 
     if cryst.rank == 2:
@@ -228,7 +214,7 @@ def exact_order(cryst: CrystGroup, char: Characteristic | int) -> OrderResult:
         if len(sl) == 1:
             prov.append("sec-5.3.3-trivial")
             return OrderResult.trivial(tuple(prov))
-        if p > 0 and len(sl) == g.order and _is_p_group(g, p):
+        if p > 0 and len(sl) == g.order and p_part(g.order, p) == g.order:
             prov.append("sec-5.3.3-sl-pgroup")
             return OrderResult.known(g.order, tuple(prov))
         minus_id = IntMatrix.identity(2).neg()
@@ -266,17 +252,14 @@ def fpf_group_shape_check(group: PointGroup, p: int) -> bool:
     input is not a fixed-point-free p-group."""
     if not is_prime(p):
         raise InvalidCharacteristicError(f"fpf_group_shape_check needs a prime, got {p}")
-    if not _is_p_group(group, p):
+    if p_part(group.order, p) != group.order:
         raise PreconditionError(f"group of order {group.order} is not a {p}-group")
     if not _acts_fixed_point_freely(group.elements):
         raise PreconditionError("group does not act fixed-point-freely")
-    if any(element_order(x) == group.order for x in group.elements):
+    orders = [element_order(x) for x in group.elements]
+    if group.order in orders:
         return True  # cyclic
     if p != 2 or group.order < 8:
         return False
-    involutions = [x for x in group.elements if element_order(x) == 2]
-    has_cyclic_half = any(
-        h.order == group.order // 2 and any(element_order(x) == h.order for x in h.elements)
-        for h in all_subgroups(group)
-    )
-    return len(involutions) == 1 and has_cyclic_half
+    # a unique involution and a cyclic subgroup of index 2
+    return orders.count(2) == 1 and group.order // 2 in orders

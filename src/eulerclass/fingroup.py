@@ -128,6 +128,15 @@ class PDecomposition:
     g_p_prime: IntMatrix
 
 
+def p_part(m: int, p: int) -> int:
+    """The largest power of p dividing the positive integer m."""
+    q = 1
+    while m % p == 0:
+        m //= p
+        q *= p
+    return q
+
+
 def p_decompose(g: IntMatrix, p: int) -> PDecomposition:
     """Split a finite-order g into its p-part and p'-part.
 
@@ -135,14 +144,10 @@ def p_decompose(g: IntMatrix, p: int) -> PDecomposition:
     CRT decomposition of Z/order(g).
     """
     e = element_order(g)
-    a = 0
-    m = e
-    while m % p == 0:
-        m //= p
-        a += 1
-    pa = p**a
+    pa = p_part(e, p)
+    m = e // pa
     ident = IntMatrix.identity(g.n)
-    if a == 0:
+    if pa == 1:
         return PDecomposition(ident, g)
     if m == 1:
         return PDecomposition(g, ident)
@@ -160,6 +165,9 @@ def p_regular_elements(group: PointGroup, p: int) -> list[IntMatrix]:
 
 def all_subgroups(group: PointGroup) -> list[PointGroup]:
     """All subgroups, by repeatedly extending known subgroups by one element.
+
+    The analyzer does not call it: it is the brute-force reference that the
+    tests check the bounds against.
 
     Complete: any subgroup arises along a chain of one-generator extensions
     starting from the trivial group. Deduplicated by element set.
@@ -182,14 +190,3 @@ def all_subgroups(group: PointGroup) -> list[PointGroup]:
                 worklist.append(k)
     subs = sorted(seen.values(), key=lambda s: (s.order, [m.entries for m in s.elements]))
     return subs
-
-
-def _is_prime_power(m: int, p: int) -> bool:
-    while m % p == 0:
-        m //= p
-    return m == 1
-
-
-def p_subgroups(group: PointGroup, p: int) -> list[PointGroup]:
-    """Subgroups of p-power order (the trivial group counts, order p^0)."""
-    return [h for h in all_subgroups(group) if _is_prime_power(h.order, p)]

@@ -16,7 +16,6 @@ class TestMakeCryst:
         c = make_cryst(2, [])
         assert c.rank == 2
         assert c.point_group.is_trivial()
-        assert c.action_kernel.is_trivial()
 
     def test_c3_semidirect(self):
         c = make_cryst(2, [R120])

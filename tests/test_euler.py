@@ -7,7 +7,6 @@ from eulerclass.euler import (
     InvalidCharacteristicError,
     OrderResult,
     PreconditionError,
-    euler_character,
     exact_order,
     fpf_group_shape_check,
     has_finite_order,
@@ -16,7 +15,7 @@ from eulerclass.euler import (
     order_divisor,
     upper_bound_p_part,
 )
-from eulerclass.fingroup import closure
+from eulerclass.fingroup import all_subgroups, closure, p_part
 from eulerclass.intmat import IntMatrix, det_one_minus, mul
 
 R90 = IntMatrix.from_rows([[0, -1], [1, 0]])
@@ -30,7 +29,60 @@ C5_COMPANION = IntMatrix.from_rows(
     [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
 )
 
+# companion matrix of 1 + X^4; generates C8 acting freely on Z^4
+C8_COMPANION = IntMatrix.from_rows(
+    [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+)
+
+# Left and right multiplication by i and j on the Lipschitz quaternions
+# Z<1, i, j, k>. The left (or right) ones generate Q8 acting freely on Z^4;
+# all four generate the central product Q8 o Q8 of order 32.
+LEFT_I = IntMatrix.from_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+LEFT_J = IntMatrix.from_rows([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+RIGHT_I = IntMatrix.from_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+RIGHT_J = IntMatrix.from_rows([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+
 P4M = make_cryst(2, [R90, M2])
+
+
+def _diag(*d):
+    return IntMatrix.from_rows([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))])
+
+
+def _perm(images):
+    """Permutation matrix sending e_j to e_images[j]."""
+    n = len(images)
+    return IntMatrix.from_rows([[int(images[j] == i) for j in range(n)] for i in range(n)])
+
+
+def _hyperoctahedral(n):
+    """B_n: a transposition, an n-cycle and one sign change."""
+    swap = list(range(n))
+    swap[0], swap[1] = 1, 0
+    return [_perm(swap), _perm([(j + 1) % n for j in range(n)]), _diag(-1, *([1] * (n - 1)))]
+
+
+# Klein four in rank 3: every nontrivial element fixes a coordinate axis,
+# but no vector is fixed by all three, so no classification rule applies.
+_KLEIN3 = [_diag(-1, -1, 1), _diag(1, -1, -1)]
+_CYCLE3 = _perm([1, 2, 0])
+_ROT90_3 = IntMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+
+# Groups of order <= 48 small enough for the subgroup-enumeration reference.
+# On Q8 the cyclic case alone would give a lower bound of 4, not 8.
+SMALL_GROUPS = {e.name: (e.rank, list(e.generators)) for e in entries()} | {
+    "klein4-blocks": (3, _KLEIN3),
+    "signs-C2^3": (3, [_diag(-1, 1, 1), _diag(1, -1, 1), _diag(1, 1, -1)]),
+    "D4xC2": (3, [_perm([1, 0, 2]), _diag(-1, 1, 1), _diag(1, 1, -1)]),
+    "A4": (3, _KLEIN3 + [_CYCLE3]),
+    "S4-rotations": (3, [_CYCLE3, _ROT90_3]),
+    "A4x+-I": (3, _KLEIN3 + [_CYCLE3, _diag(-1, -1, -1)]),
+    "B3": (3, _hyperoctahedral(3)),
+    "C5-rank4": (4, [C5_COMPANION]),
+    "C8-rank4": (4, [C8_COMPANION]),
+    "Q8-rank4": (4, [LEFT_I, LEFT_J]),
+    "Q8oQ8-rank4": (4, [LEFT_I, LEFT_J, RIGHT_I, RIGHT_J]),
+}
 
 
 class TestCharacteristic:
@@ -47,21 +99,21 @@ class TestCharacteristic:
             Characteristic(p)
 
 
+def _character(cryst):
+    return {x: det_one_minus(x) for x in cryst.point_group}
+
+
 class TestEulerCharacter:
+    """The character x -> det(1 - x) on the point group."""
+
     def test_trivial_group(self):
-        ch = euler_character(make_cryst(2, []))
-        assert ch[I2] == 0
+        assert _character(make_cryst(2, [])) == {I2: 0}
 
     def test_plus_minus_identity(self):
-        ch = euler_character(make_cryst(2, [I2.neg()]))
-        assert ch[I2] == 0
-        assert ch[I2.neg()] == 4
+        assert _character(make_cryst(2, [I2.neg()])) == {I2: 0, I2.neg(): 4}
 
     def test_c3(self):
-        c = make_cryst(2, [R120])
-        ch = euler_character(c)
-        assert ch[R120] == 3
-        assert ch[mul(R120, R120)] == 3
+        assert _character(make_cryst(2, [R120])) == {I2: 0, R120: 3, mul(R120, R120): 3}
 
     def test_constant_on_conjugacy_classes(self):
         for a in P4M.point_group:
@@ -108,6 +160,21 @@ class TestBounds:
 
     def test_d3_upper_at_three(self):
         assert upper_bound_p_part(make_cryst(2, [R120, M2]), 3) == 3
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_match_subgroup_enumeration(self, name):
+        rank, gens = SMALL_GROUPS[name]
+        c = make_cryst(rank, gens)
+        subgroups = all_subgroups(c.point_group)
+        for p in (2, 3, 5):
+            p_subgroups = [h for h in subgroups if p_part(h.order, p) == h.order]
+            fpf = [
+                h.order
+                for h in p_subgroups
+                if all(x.is_identity() or det_one_minus(x) != 0 for x in h.elements)
+            ]
+            assert lower_bound(c, p) == max(fpf)
+            assert upper_bound_p_part(c, p) == max(h.order for h in p_subgroups)
 
     def test_lower_divides_upper_when_finite(self):
         for e in entries():
@@ -181,21 +248,21 @@ class TestExactOrder:
     def test_known_one_collapses_to_trivial(self):
         assert OrderResult.known(1, ("x",)).kind == "trivial"
 
-    # Klein four in rank 3: every nontrivial element fixes a coordinate axis,
-    # but no vector is fixed by all three, so no classification rule applies.
-    _A3 = IntMatrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    _B3 = IntMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
-
     def test_bounded_fallback_at_p2_rank3(self):
-        c = make_cryst(3, [self._A3, self._B3])
+        c = make_cryst(3, _KLEIN3)
         r = exact_order(c, 2)
         assert r.kind == "bounded"
         assert (r.lower, r.upper_p_part) == (1, 4)
         assert "bounds-only" in r.provenance
         assert "p-part bound only" in r.provenance
 
+    def test_bounded_b4_at_two(self):
+        r = exact_order(make_cryst(4, _hyperoctahedral(4)), 2)
+        assert r.describe() == "Bounded(8, 128)"
+        assert "bounds-only" in r.provenance
+
     def test_bounded_fallback_at_p0_rank3(self):
-        c = make_cryst(3, [self._A3, self._B3])
+        c = make_cryst(3, _KLEIN3)
         r = exact_order(c, 0)
         assert r.kind == "bounded"
         assert (r.lower, r.upper_p_part) == (1, 1)
@@ -207,6 +274,9 @@ class TestFpfShapeCheck:
 
     def test_c3_is_cyclic(self):
         assert fpf_group_shape_check(closure([R120]), 3)
+
+    def test_q8_is_quaternion(self):
+        assert fpf_group_shape_check(closure([LEFT_I, LEFT_J]), 2)
 
     def test_d4_violates_precondition(self):
         with pytest.raises(PreconditionError):

@@ -9,8 +9,8 @@ from eulerclass.fingroup import (
     closure,
     element_order,
     p_decompose,
+    p_part,
     p_regular_elements,
-    p_subgroups,
 )
 from eulerclass.intmat import IntMatrix, mul
 
@@ -35,6 +35,11 @@ def brute_force_subgroup_count(group):
             if all(mul(a, b) in s for a in s for b in s):
                 count += 1
     return count
+
+
+def p_subgroups(group, p):
+    """Subgroups of p-power order (the trivial group counts, order p^0)."""
+    return [h for h in all_subgroups(group) if p_part(h.order, p) == h.order]
 
 
 class TestClosure:
@@ -86,6 +91,14 @@ class TestElementOrder:
     def test_infinite_order(self):
         with pytest.raises(NotFiniteError):
             element_order(IntMatrix.from_rows([[1, 1], [0, 1]]), cap=50)
+
+
+@pytest.mark.parametrize(
+    "m,p,expected",
+    [(1, 2, 1), (5, 3, 1), (48, 2, 16), (48, 3, 3), (384, 2, 128), (3840, 5, 5)],
+)
+def test_p_part(m, p, expected):
+    assert p_part(m, p) == expected
 
 
 class TestPDecompose:
