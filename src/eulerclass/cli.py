@@ -17,18 +17,17 @@ import sys
 import time
 
 from . import catalog as catalog_mod
-from .crystal import CrystGroup, fixed_sublattice, make_cryst, maps_onto_Z
+from .crystal import CrystGroup, fixed_sublattice, make_cryst
 from .euler import (
     Characteristic,
     InvalidCharacteristicError,
     exact_order,
-    has_finite_order,
     lower_bound,
     upper_bound_p_part,
 )
-from .fingroup import DEFAULT_CAP, NotFiniteError, NotUnimodularError, element_order
+from .fingroup import DEFAULT_CAP, NotFiniteError, NotUnimodularError
 from .groupfile import GroupFile, GroupFileError, load_group_file
-from .intmat import IntMatrix, charpoly, det, det_one_minus, exterior_power
+from .intmat import IntMatrix, charpoly, det_one_minus, exterior_power
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -38,14 +37,10 @@ EXIT_CHAR = 4
 
 
 def _element_table(cryst: CrystGroup) -> list[dict]:
+    g = cryst.point_group
     rows = [
-        {
-            "matrix": [list(r) for r in g.entries],
-            "order": element_order(g),
-            "det": det(g),
-            "det_one_minus": det_one_minus(g),
-        }
-        for g in cryst.point_group
+        {"matrix": [list(r) for r in x.entries], "order": k, "det": d, "det_one_minus": d1}
+        for x, k, d, d1 in zip(g.elements, g.orders, g.dets, g.det_one_minus)
     ]
     rows.sort(key=lambda r: (r["order"], r["matrix"]))
     return rows
@@ -61,14 +56,15 @@ def _analysis_report(gf: GroupFile, p: int, cap: int) -> dict:
         "characteristic": p,
         "point_group_order": g.order,
         "fixed_sublattice_rank": lat.dim,
-        "maps_onto_Z": maps_onto_Z(cryst),
+        "maps_onto_Z": not lat.is_trivial(),
         "elements": _element_table(cryst),
-        "finite_order": has_finite_order(cryst, p),
+        # thm-a, the only rule that returns "infinite", is the finiteness test
+        "finite_order": result.kind != "infinite",
         "verdict": result.describe(),
         "provenance": list(result.provenance),
     }
     if gf.rank == 2:
-        report["sl_subgroup_order"] = sum(1 for x in g.elements if det(x) == 1)
+        report["sl_subgroup_order"] = g.dets.count(1)
     if p > 0:
         report["lower_bound"] = lower_bound(cryst, p)
         report["upper_bound_p_part"] = upper_bound_p_part(cryst, p)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .crystal import CrystGroup, fixed_sublattice
-from .fingroup import PointGroup, element_order, p_part, p_regular_elements, power
-from .intmat import IntMatrix, det, det_one_minus, det_one_minus_via_traces, mul
+from .fingroup import PointGroup, p_part, power
+from .intmat import IntMatrix, mul
 
 
 class InvalidCharacteristicError(ValueError):
@@ -109,21 +109,15 @@ class OrderResult:
 def has_finite_order(cryst: CrystGroup, char: Characteristic | int) -> bool:
     """Finiteness of the Euler class: det(1 - x) = 0 on all p-regular x."""
     p = _char(char).p
-    return all(det_one_minus(x) == 0 for x in p_regular_elements(cryst.point_group, p))
+    g = cryst.point_group
+    if p == 0:
+        return not any(g.det_one_minus)
+    return all(d == 0 for k, d in zip(g.orders, g.det_one_minus) if k % p != 0)
 
 
-def has_finite_order_via_traces(cryst: CrystGroup, char: Characteristic | int) -> bool:
-    """Same test through the alternating exterior-trace character; independent
-    code path used as an oracle for has_finite_order."""
-    p = _char(char).p
-    return all(
-        det_one_minus_via_traces(x) == 0
-        for x in p_regular_elements(cryst.point_group, p)
-    )
-
-
-def _acts_fixed_point_freely(elements) -> bool:
-    return all(g.is_identity() or det_one_minus(g) != 0 for g in elements)
+def _acts_fixed_point_freely(group: PointGroup) -> bool:
+    """Every x != 1 has det(1 - x) != 0; the identity is the one zero."""
+    return group.det_one_minus.count(0) == 1
 
 
 def lower_bound(cryst: CrystGroup, p: int) -> int:
@@ -140,10 +134,10 @@ def lower_bound(cryst: CrystGroup, p: int) -> int:
     """
     if not is_prime(p):
         raise InvalidCharacteristicError(f"lower_bound needs a prime, got {p}")
+    g = cryst.point_group
     fpf: dict[IntMatrix, int] = {}
-    for x in cryst.point_group.elements:
-        k = element_order(x)
-        if k > 1 and p_part(k, p) == k and det_one_minus(power(x, k // p)) != 0:
+    for x, k in zip(g.elements, g.orders):
+        if k > 1 and p_part(k, p) == k and g.det_one_minus[g.index[power(x, k // p)]] != 0:
             fpf[x] = k
     best = max(fpf.values(), default=1)
     if p == 2:
@@ -170,15 +164,7 @@ def order_divisor(delta: int, dim: int) -> int:
     return delta // gcd(delta, dim)
 
 
-def _sl_part(group: PointGroup) -> list[IntMatrix]:
-    return [g for g in group.elements if det(g) == 1]
-
-
-def _order_det_multiset(group: PointGroup) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((element_order(g), det(g)) for g in group.elements))
-
-
-_P4M_FINGERPRINT = tuple(sorted([(1, 1), (2, 1), (4, 1), (4, 1)] + [(2, -1)] * 4))
+_P4M_FINGERPRINT = sorted([(1, 1), (2, 1), (4, 1), (4, 1)] + [(2, -1)] * 4)
 
 
 def exact_order(cryst: CrystGroup, char: Characteristic | int) -> OrderResult:
@@ -205,16 +191,16 @@ def exact_order(cryst: CrystGroup, char: Characteristic | int) -> OrderResult:
         prov.append("sec-5.1")
         return OrderResult.trivial(tuple(prov))
 
-    if p > 0 and p_part(g.order, p) == g.order and _acts_fixed_point_freely(g.elements):
+    if p > 0 and p_part(g.order, p) == g.order and _acts_fixed_point_freely(g):
         prov.append("sec-5.3.1")
         return OrderResult.known(g.order, tuple(prov))
 
     if cryst.rank == 2:
-        sl = _sl_part(g)
-        if len(sl) == 1:
+        sl_order = g.dets.count(1)
+        if sl_order == 1:
             prov.append("sec-5.3.3-trivial")
             return OrderResult.trivial(tuple(prov))
-        if p > 0 and len(sl) == g.order and p_part(g.order, p) == g.order:
+        if p > 0 and sl_order == g.order and p_part(g.order, p) == g.order:
             prov.append("sec-5.3.3-sl-pgroup")
             return OrderResult.known(g.order, tuple(prov))
         minus_id = IntMatrix.identity(2).neg()
@@ -222,19 +208,19 @@ def exact_order(cryst: CrystGroup, char: Characteristic | int) -> OrderResult:
             p == 2
             and g.order == 4
             and minus_id in g
-            and all(element_order(x) <= 2 for x in g.elements)
-            and any(det(x) == -1 and element_order(x) == 2 for x in g.elements)
+            and all(k <= 2 for k in g.orders)
+            and (2, -1) in zip(g.orders, g.dets)
         ):
             prov.append("sec-5.3.3-klein")
             return OrderResult.known(2, tuple(prov))
-        if p == 2 and g.order == 8 and len(sl) == 4 and _order_det_multiset(g) == _P4M_FINGERPRINT:
+        if p == 2 and g.order == 8 and sl_order == 4 and sorted(zip(g.orders, g.dets)) == _P4M_FINGERPRINT:
             prov.append("sec-5.3.3-p4m")
             return OrderResult.known(4, tuple(prov))
         if (
             p == 3
             and g.order == 6
-            and len(sl) == 3
-            and sum(1 for x in g.elements if det(x) == -1 and element_order(x) == 2) == 3
+            and sl_order == 3
+            and list(zip(g.orders, g.dets)).count((2, -1)) == 3
         ):
             prov.append("sec-5.3.3-p3m")
             return OrderResult.known(3, tuple(prov))
@@ -254,9 +240,9 @@ def fpf_group_shape_check(group: PointGroup, p: int) -> bool:
         raise InvalidCharacteristicError(f"fpf_group_shape_check needs a prime, got {p}")
     if p_part(group.order, p) != group.order:
         raise PreconditionError(f"group of order {group.order} is not a {p}-group")
-    if not _acts_fixed_point_freely(group.elements):
+    if not _acts_fixed_point_freely(group):
         raise PreconditionError("group does not act fixed-point-freely")
-    orders = [element_order(x) for x in group.elements]
+    orders = group.orders
     if group.order in orders:
         return True  # cyclic
     if p != 2 or group.order < 8:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .intmat import DimensionMismatchError, IntMatrix, mul
+from .intmat import DimensionMismatchError, IntMatrix, det, det_one_minus, mul
 
 DEFAULT_CAP = 20000
 
@@ -21,13 +22,14 @@ class NotUnimodularError(ValueError):
 class PointGroup:
     """A finite multiplicative group of unimodular integer matrices.
 
-    `elements` is sorted by entry tuples so equal groups compare equal;
-    `generators` are indices into `elements`.
+    `elements` is sorted by entry tuples so equal groups compare equal.
+    `index`, `orders`, `dets` and `det_one_minus` form the element table:
+    each column lines up with `elements` and is computed on first use, so a
+    verdict that needs no element orders (p = 0) never computes them.
     """
 
     n: int
     elements: tuple[IntMatrix, ...]
-    generators: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -37,17 +39,30 @@ class PointGroup:
     def identity(self) -> IntMatrix:
         return IntMatrix.identity(self.n)
 
+    @cached_property
+    def index(self) -> dict[IntMatrix, int]:
+        return {m: i for i, m in enumerate(self.elements)}
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        return tuple(element_order(x) for x in self.elements)
+
+    @cached_property
+    def dets(self) -> tuple[int, ...]:
+        return tuple(det(x) for x in self.elements)
+
+    @cached_property
+    def det_one_minus(self) -> tuple[int, ...]:
+        return tuple(det_one_minus(x) for x in self.elements)
+
     def __contains__(self, m: IntMatrix) -> bool:
-        return m in set(self.elements)
+        return m in self.index
 
     def __iter__(self):
         return iter(self.elements)
 
     def is_trivial(self) -> bool:
         return len(self.elements) == 1
-
-    def element_set(self) -> frozenset[IntMatrix]:
-        return frozenset(self.elements)
 
 
 def _check_generators(generators: list[IntMatrix]) -> int:
@@ -92,9 +107,7 @@ def closure(generators: list[IntMatrix], cap: int = DEFAULT_CAP, n: int | None =
     dim = _check_generators(generators) or n or 1
     ident = IntMatrix.identity(dim)
     elems = _close([ident], generators, cap)
-    ordered = tuple(sorted(elems, key=lambda m: m.entries))
-    index = {m: i for i, m in enumerate(ordered)}
-    return PointGroup(dim, ordered, tuple(index[g] for g in generators))
+    return PointGroup(dim, tuple(sorted(elems, key=lambda m: m.entries)))
 
 
 def element_order(g: IntMatrix, cap: int = DEFAULT_CAP) -> int:
@@ -160,7 +173,7 @@ def p_regular_elements(group: PointGroup, p: int) -> list[IntMatrix]:
     """Elements of order coprime to p; for p = 0, every element (all are torsion)."""
     if p == 0:
         return list(group.elements)
-    return [g for g in group.elements if element_order(g) % p != 0]
+    return [x for x, k in zip(group.elements, group.orders) if k % p != 0]
 
 
 def all_subgroups(group: PointGroup) -> list[PointGroup]:
@@ -170,23 +183,20 @@ def all_subgroups(group: PointGroup) -> list[PointGroup]:
     tests check the bounds against.
 
     Complete: any subgroup arises along a chain of one-generator extensions
-    starting from the trivial group. Deduplicated by element set.
+    starting from the trivial group. Deduplicated by element set. Each
+    extension <H, g> is closed from the generators H was built from plus g.
     """
-    trivial = closure([], n=group.n)
-    seen: dict[frozenset[IntMatrix], PointGroup] = {trivial.element_set(): trivial}
+    trivial = frozenset([group.identity])
+    gens: dict[frozenset[IntMatrix], list[IntMatrix]] = {trivial: []}
     worklist = [trivial]
-    cap = group.order
     while worklist:
         h = worklist.pop()
-        hset = h.element_set()
         for g in group.elements:
-            if g in hset:
+            if g in h:
                 continue
-            kset = frozenset(_close([group.identity], list(hset) + [g], cap))
-            if kset not in seen:
-                ordered = tuple(sorted(kset, key=lambda m: m.entries))
-                k = PointGroup(group.n, ordered, ())
-                seen[kset] = k
+            k = frozenset(_close([group.identity], gens[h] + [g], group.order))
+            if k not in gens:
+                gens[k] = gens[h] + [g]
                 worklist.append(k)
-    subs = sorted(seen.values(), key=lambda s: (s.order, [m.entries for m in s.elements]))
-    return subs
+    subs = [PointGroup(group.n, tuple(sorted(k, key=lambda m: m.entries))) for k in gens]
+    return sorted(subs, key=lambda s: (s.order, [m.entries for m in s.elements]))

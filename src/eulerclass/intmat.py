@@ -189,14 +189,6 @@ def det_one_minus(m: IntMatrix) -> int:
     return _bareiss_det(rows)
 
 
-def det_one_minus_via_traces(m: IntMatrix) -> int:
-    """Same value as det_one_minus via the alternating exterior-trace sum.
-
-    Independent code path; each side serves as the other's oracle.
-    """
-    return sum((-1) ** i * exterior_power(m, i).trace() for i in range(m.n + 1))
-
-
 def _echelon_with_transform(b: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Integer row echelon of b via unimodular row ops; returns (H, U) with U*b = H."""
     nrows = len(b)

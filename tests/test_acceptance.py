@@ -13,13 +13,13 @@ from eulerclass.crystal import make_cryst
 from eulerclass.euler import (
     exact_order,
     has_finite_order,
-    has_finite_order_via_traces,
     lower_bound,
     order_divisor,
     upper_bound_p_part,
 )
 from eulerclass.fingroup import all_subgroups, element_order, p_decompose
 from eulerclass.intmat import IntMatrix, charpoly, det_one_minus, exterior_power, mul
+from oracles import has_finite_order_via_traces
 
 CHARS = (0, 2, 3, 5)
 

@@ -1,7 +1,10 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+import eulerclass.fingroup as fingroup
 from eulerclass.cli import main, run_selftest
 from eulerclass.groupfile import GroupFileError, parse_group_dict, parse_group_text
 
@@ -12,6 +15,7 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
+GROUPS = Path(__file__).resolve().parent.parent / "groups"
 P4M = {"name": "p4m", "rank": 2, "generators": [[[0, -1], [1, 0]], [[0, 1], [1, 0]]]}
 
 
@@ -49,6 +53,22 @@ class TestAnalyze:
         assert report["sl_subgroup_order"] == 4
         assert report["lower_bound"] == 4
         assert report["upper_bound_p_part"] == 8
+
+    def test_p4m_computes_each_element_order_once(self, monkeypatch, capsys):
+        original = fingroup.element_order
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        # every eulerclass module that binds the function by name
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("eulerclass") and getattr(mod, "element_order", None) is original:
+                monkeypatch.setattr(mod, "element_order", counting)
+        assert main(["analyze", str(GROUPS / "p4m.json"), "--char", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["point_group_order"] == 8
+        assert len(calls) <= 8
 
     def test_p4m_at_five_is_infinite(self, tmp_path, capsys):
         path = _write(tmp_path, "p4m.json", P4M)

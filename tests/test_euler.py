@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerclass.catalog import entries
 from eulerclass.crystal import make_cryst, maps_onto_Z
@@ -10,13 +12,13 @@ from eulerclass.euler import (
     exact_order,
     fpf_group_shape_check,
     has_finite_order,
-    has_finite_order_via_traces,
     lower_bound,
     order_divisor,
     upper_bound_p_part,
 )
-from eulerclass.fingroup import all_subgroups, closure, p_part
-from eulerclass.intmat import IntMatrix, det_one_minus, mul
+from eulerclass.fingroup import all_subgroups, closure, element_order, p_part
+from eulerclass.intmat import IntMatrix, det, det_one_minus, mul
+from oracles import has_finite_order_via_traces
 
 R90 = IntMatrix.from_rows([[0, -1], [1, 0]])
 R120 = IntMatrix.from_rows([[0, -1], [1, -1]])
@@ -83,6 +85,60 @@ SMALL_GROUPS = {e.name: (e.rank, list(e.generators)) for e in entries()} | {
     "Q8-rank4": (4, [LEFT_I, LEFT_J]),
     "Q8oQ8-rank4": (4, [LEFT_I, LEFT_J, RIGHT_I, RIGHT_J]),
 }
+
+
+class TestElementTable:
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS) + ["B4"])
+    def test_columns_match_per_element_calls(self, name):
+        rank, gens = SMALL_GROUPS.get(name) or (4, _hyperoctahedral(4))
+        g = make_cryst(rank, gens).point_group
+        for i, x in enumerate(g.elements):
+            assert g.index[x] == i
+            assert g.orders[i] == element_order(x)
+            assert g.dets[i] == det(x)
+            assert g.det_one_minus[i] == det_one_minus(x)
+
+
+def _transvection(n, i, j, c):
+    return IntMatrix.from_rows([[int(r == s) + c * (r == i and s == j) for s in range(n)] for r in range(n)])
+
+
+@st.composite
+def _presentations(draw):
+    """A SMALL_GROUPS entry with its generators conjugated by a random
+    unimodular matrix, one redundant product added, and shuffled."""
+    name = draw(st.sampled_from(sorted(SMALL_GROUPS)))
+    n, gens = SMALL_GROUPS[name]
+    images = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    q = IntMatrix.from_rows([[signs[i] * int(images[j] == i) for j in range(n)] for i in range(n)])
+    q_inv = IntMatrix(tuple(zip(*q.entries)))  # signed permutation: inverse is the transpose
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from((-1, 1)))
+        q = mul(q, _transvection(n, i, j, c))
+        q_inv = mul(_transvection(n, i, j, -c), q_inv)
+    assert mul(q, q_inv).is_identity()
+    conj = [mul(mul(q, x), q_inv) for x in gens]
+    redundant = mul(draw(st.sampled_from(conj)), draw(st.sampled_from(conj))) if conj else IntMatrix.identity(n)
+    return name, draw(st.permutations(conj + [redundant]))
+
+
+def _invariants(rank, gens):
+    c = make_cryst(rank, gens)
+    g = c.point_group
+    verdicts = [(r.describe(), r.provenance) for r in (exact_order(c, p) for p in (0, 2, 3, 5))]
+    return verdicts, sorted(zip(g.orders, g.dets, g.det_one_minus))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_presentations())
+def test_invariant_under_presentation(presentation):
+    """Verdicts and (order, det, det(1 - x)) rows do not depend on the basis
+    of the lattice, the order of the generators or redundant generators."""
+    name, gens = presentation
+    rank, original = SMALL_GROUPS[name]
+    assert _invariants(rank, gens) == _invariants(rank, original)
 
 
 class TestCharacteristic:

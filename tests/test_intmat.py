@@ -8,12 +8,12 @@ from eulerclass.intmat import (
     charpoly,
     det,
     det_one_minus,
-    det_one_minus_via_traces,
     exterior_power,
     fixed_lattice,
     fixed_lattice_of_rank,
     mul,
 )
+from oracles import det_one_minus_via_traces
 
 R90 = IntMatrix.from_rows([[0, -1], [1, 0]])
 R120 = IntMatrix.from_rows([[0, -1], [1, -1]])
