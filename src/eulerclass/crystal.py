@@ -8,9 +8,10 @@ split group with faithful G-action the acting quotient is G itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fingroup import DEFAULT_CAP, PointGroup, closure
-from .intmat import IntMatrix, Lattice, det_one_minus, fixed_lattice_of_rank
+from .intmat import IntMatrix, Lattice, fixed_lattice_of_rank
 
 
 @dataclass(frozen=True)
@@ -21,6 +22,12 @@ class CrystGroup:
     @property
     def name(self) -> str:
         return f"Z^{self.rank} x| G (|G| = {self.point_group.order})"
+
+    @cached_property
+    def fixed_sublattice(self) -> Lattice:
+        """Computed once, on first use; see the module-level `fixed_sublattice`."""
+        nontrivial = [g for g in self.point_group if not g.is_identity()]
+        return fixed_lattice_of_rank(self.rank, nontrivial)
 
 
 def make_cryst(rank: int, generators: list[IntMatrix], cap: int = DEFAULT_CAP) -> CrystGroup:
@@ -34,8 +41,7 @@ def make_cryst(rank: int, generators: list[IntMatrix], cap: int = DEFAULT_CAP) -
 
 def fixed_sublattice(cryst: CrystGroup) -> Lattice:
     """The sublattice of lattice vectors fixed by every point-group element."""
-    nontrivial = [g for g in cryst.point_group if not g.is_identity()]
-    return fixed_lattice_of_rank(cryst.rank, nontrivial)
+    return cryst.fixed_sublattice
 
 
 def maps_onto_Z(cryst: CrystGroup) -> bool:
@@ -49,6 +55,7 @@ def centralizer_is_infinite(cryst: CrystGroup, g: IntMatrix) -> bool:
     i.e. det(1 - g) = 0. (Elements of infinite order always have infinite
     centralizer and are not routed through this predicate.)
     """
-    if g not in cryst.point_group:
+    group = cryst.point_group
+    if g not in group:
         raise ValueError("matrix is not an element of the point group")
-    return det_one_minus(g) == 0
+    return group.det_one_minus[group.index[g]] == 0

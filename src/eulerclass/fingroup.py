@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .intmat import DimensionMismatchError, IntMatrix, det, det_one_minus, mul
 
@@ -26,6 +27,8 @@ class PointGroup:
     `index`, `orders`, `dets` and `det_one_minus` form the element table:
     each column lines up with `elements` and is computed on first use, so a
     verdict that needs no element orders (p = 0) never computes them.
+    The group is closed, so its elements need no unimodularity check and
+    every power of one of them is found in `index`.
     """
 
     n: int
@@ -45,7 +48,24 @@ class PointGroup:
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
-        return tuple(element_order(x) for x in self.elements)
+        """Each cyclic subgroup not yet seen is walked once: the powers
+        x, x^2, ..., x^k = 1 of an element of unknown order give every x^j
+        its order k / gcd(j, k), at k - 1 products for the walk."""
+        index = self.index
+        one = index[self.identity]
+        orders = [0] * self.order
+        for i, x in enumerate(self.elements):
+            if orders[i]:
+                continue
+            walk = [i]
+            y = x
+            while walk[-1] != one:
+                y = mul(y, x)
+                walk.append(index[y])
+            k = len(walk)
+            for j, pos in enumerate(walk, 1):
+                orders[pos] = k // gcd(j, k)
+        return tuple(orders)
 
     @cached_property
     def dets(self) -> tuple[int, ...]:
@@ -77,37 +97,54 @@ def _check_generators(generators: list[IntMatrix]) -> int:
     return n
 
 
-def _close(seed: list[IntMatrix], gens: list[IntMatrix], cap: int) -> set[IntMatrix]:
-    elems = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = mul(a, g)
-                if b not in elems:
-                    elems.add(b)
-                    nxt.append(b)
-                    if len(elems) > cap:
-                        raise NotFiniteError(
-                            f"closure exceeded cap {cap}; generators do not "
-                            "generate a finite group (or raise the cap)"
-                        )
-        frontier = nxt
-    return elems
-
-
 def closure(generators: list[IntMatrix], cap: int = DEFAULT_CAP, n: int | None = None) -> PointGroup:
-    """Breadth-first closure of unimodular generators into a PointGroup.
+    """Dimino's coset closure of unimodular generators into a PointGroup
+    (G. Butler, Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
 
-    For an empty generator list, `n` gives the ambient dimension (default 1).
+    The generators join one at a time. A generator s that is not yet in the
+    group H built so far extends it to <H, s>, a union of right cosets H r.
+    Right multiplication by the generators permutes these cosets, so starting
+    from H s, each new representative r and each generator t used so far
+    either gives an element r t already listed (then its whole coset is) or a
+    new coset H (r t). That is about |G| products in all, plus one per
+    representative and generator; a generator already in H costs one lookup.
     A finite set closed under multiplication and containing the identity is
     automatically closed under inverse.
+
+    For an empty generator list, `n` gives the ambient dimension (default 1).
+    With cap >= 1, raises NotFiniteError exactly when the group has more than
+    `cap` elements.
     """
     dim = _check_generators(generators) or n or 1
-    ident = IntMatrix.identity(dim)
-    elems = _close([ident], generators, cap)
-    return PointGroup(dim, tuple(sorted(elems, key=lambda m: m.entries)))
+    elements = [IntMatrix.identity(dim)]
+    members = set(elements)
+    used: list[IntMatrix] = []
+
+    def add_coset(r: IntMatrix, rest: list[IntMatrix]) -> None:
+        """Append H r, where `rest` is H without its identity."""
+        if len(elements) + 1 + len(rest) > cap:
+            raise NotFiniteError(
+                f"closure stopped at the cap: the group is infinite or has more "
+                f"than {cap} elements (--cap raises the limit)"
+            )
+        coset = [r] + [mul(h, r) for h in rest]
+        elements.extend(coset)
+        members.update(coset)
+
+    for s in generators:
+        if s in members:
+            continue
+        used.append(s)
+        rest = elements[1:]  # the identity heads `elements`
+        reps = [s]
+        add_coset(s, rest)
+        for r in reps:  # grows while it is read
+            for t in used:
+                e = mul(r, t)
+                if e not in members:
+                    reps.append(e)
+                    add_coset(e, rest)
+    return PointGroup(dim, tuple(sorted(elements, key=lambda m: m.entries)))
 
 
 def element_order(g: IntMatrix, cap: int = DEFAULT_CAP) -> int:
@@ -194,7 +231,7 @@ def all_subgroups(group: PointGroup) -> list[PointGroup]:
         for g in group.elements:
             if g in h:
                 continue
-            k = frozenset(_close([group.identity], gens[h] + [g], group.order))
+            k = frozenset(closure(gens[h] + [g], cap=group.order, n=group.n).elements)
             if k not in gens:
                 gens[k] = gens[h] + [g]
                 worklist.append(k)

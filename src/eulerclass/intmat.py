@@ -8,6 +8,7 @@ exceed 64 bits.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 
@@ -97,15 +98,14 @@ class Lattice:
 
 
 def mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a b. Each entry is `sum(map(operator.mul, row, col))`,
+    whose loop runs in C, and list comprehensions build the rows: for rows
+    this short, generator expressions cost more than the arithmetic."""
     if a.n != b.n:
         raise DimensionMismatchError(f"dimension mismatch: {a.n} vs {b.n}")
-    n = a.n
-    bt = list(zip(*b.entries))
+    cols = tuple(zip(*b.entries))
     return IntMatrix(
-        tuple(
-            tuple(sum(x * y for x, y in zip(arow, bcol)) for bcol in bt)
-            for arow in a.entries
-        )
+        tuple([tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a.entries])
     )
 
 

@@ -1,7 +1,26 @@
 """Slow, independent implementations that the tests check the library against."""
 
 from eulerclass.fingroup import element_order
-from eulerclass.intmat import IntMatrix, exterior_power
+from eulerclass.intmat import IntMatrix, exterior_power, mul
+
+
+def closure_bfs(generators: list[IntMatrix], n: int) -> tuple[IntMatrix, ...]:
+    """The elements of the group the generators generate in GL_n(Z), sorted as
+    `closure` sorts them: a breadth-first search from the identity that
+    multiplies every new element by every generator. Terminates only on
+    finite groups."""
+    elements = {IntMatrix.identity(n)}
+    frontier = list(elements)
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in generators:
+                b = mul(a, g)
+                if b not in elements:
+                    elements.add(b)
+                    new.append(b)
+        frontier = new
+    return tuple(sorted(elements, key=lambda m: m.entries))
 
 
 def det_one_minus_via_traces(m: IntMatrix) -> int:

@@ -1,12 +1,11 @@
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
-import eulerclass.fingroup as fingroup
 from eulerclass.cli import main, run_selftest
 from eulerclass.groupfile import GroupFileError, parse_group_dict, parse_group_text
+from eulerclass.intmat import fixed_lattice_of_rank, mul
 
 
 def _write(tmp_path, name, payload):
@@ -54,21 +53,17 @@ class TestAnalyze:
         assert report["lower_bound"] == 4
         assert report["upper_bound_p_part"] == 8
 
-    def test_p4m_computes_each_element_order_once(self, monkeypatch, capsys):
-        original = fingroup.element_order
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
-
-        # every eulerclass module that binds the function by name
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("eulerclass") and getattr(mod, "element_order", None) is original:
-                monkeypatch.setattr(mod, "element_order", counting)
+    def test_p4m_product_count(self, count_calls, capsys):
+        products = count_calls(mul)
         assert main(["analyze", str(GROUPS / "p4m.json"), "--char", "2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["point_group_order"] == 8
-        assert len(calls) <= 8
+        assert len(products) < 51
+
+    def test_p4m_computes_fixed_sublattice_once(self, count_calls, capsys):
+        lattices = count_calls(fixed_lattice_of_rank)
+        assert main(["analyze", str(GROUPS / "p4m.json"), "--char", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["fixed_sublattice_rank"] == 0
+        assert len(lattices) == 1
 
     def test_p4m_at_five_is_infinite(self, tmp_path, capsys):
         path = _write(tmp_path, "p4m.json", P4M)
@@ -100,6 +95,14 @@ class TestAnalyze:
     def test_nonfinite_exit_3(self, tmp_path, capsys):
         path = _write(tmp_path, "shear.json", {"rank": 2, "generators": [[[1, 1], [0, 1]]]})
         assert main(["analyze", str(path), "--char", "2", "--cap", "100"]) == 3
+
+    def test_cap_below_order_exit_3_without_claiming_infinite(self, capsys):
+        assert main(["analyze", str(GROUPS / "p4m.json"), "--char", "2", "--cap", "7"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "infinite or has more than 7 elements" in out.err
+        assert "--cap" in out.err
+        assert "not generate a finite group" not in out.err
 
     def test_non_unimodular_exit_3(self, tmp_path):
         path = _write(tmp_path, "bad.json", {"rank": 2, "generators": [[[2, 0], [0, 1]]]})

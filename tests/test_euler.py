@@ -16,9 +16,9 @@ from eulerclass.euler import (
     order_divisor,
     upper_bound_p_part,
 )
-from eulerclass.fingroup import all_subgroups, closure, element_order, p_part
+from eulerclass.fingroup import NotFiniteError, all_subgroups, closure, element_order, p_part
 from eulerclass.intmat import IntMatrix, det, det_one_minus, mul
-from oracles import has_finite_order_via_traces
+from oracles import closure_bfs, has_finite_order_via_traces
 
 R90 = IntMatrix.from_rows([[0, -1], [1, 0]])
 R120 = IntMatrix.from_rows([[0, -1], [1, -1]])
@@ -103,10 +103,43 @@ def _transvection(n, i, j, c):
     return IntMatrix.from_rows([[int(r == s) + c * (r == i and s == j) for s in range(n)] for r in range(n)])
 
 
+class TestClosure:
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS) + ["B4"])
+    def test_matches_breadth_first_search(self, name):
+        rank, gens = SMALL_GROUPS.get(name) or (4, _hyperoctahedral(4))
+        assert closure(gens, n=rank).elements == closure_bfs(gens, rank)
+
+    # p1, the trivial group, is left out: no cap below its order 1 is meaningful
+    @pytest.mark.parametrize("name", [name for name in sorted(SMALL_GROUPS) if name != "p1"] + ["B4"])
+    def test_cap_is_the_largest_order_that_closes(self, name):
+        rank, gens = SMALL_GROUPS.get(name) or (4, _hyperoctahedral(4))
+        order = closure(gens, n=rank).order
+        assert closure(gens, cap=order, n=rank).order == order
+        with pytest.raises(NotFiniteError):
+            closure(gens, cap=order - 1, n=rank)
+
+    def test_b4_product_counts(self, count_calls):
+        """B4 conjugated and given four generators, one of them redundant:
+        the closure makes fewer than 2.5 |G| products and the orders column
+        at most 2 |G|, where a breadth-first closure makes 4 |G| and one power
+        chain per element about 3.5 |G|."""
+        q = mul(_transvection(4, 0, 1, 1), _transvection(4, 2, 3, -1))
+        q_inv = mul(_transvection(4, 2, 3, 1), _transvection(4, 0, 1, -1))
+        swap, cycle, sign = (mul(mul(q, x), q_inv) for x in _hyperoctahedral(4))
+        products = count_calls(mul)
+        g = closure([sign, mul(cycle, swap), swap, cycle])
+        assert g.order == 384
+        assert len(products) < 2.5 * g.order
+        products.clear()
+        assert max(g.orders) == 8
+        assert len(products) <= 2 * g.order
+
+
 @st.composite
 def _presentations(draw):
     """A SMALL_GROUPS entry with its generators conjugated by a random
-    unimodular matrix, one redundant product added, and shuffled."""
+    unimodular matrix, one redundant product and up to two copies of a
+    generator or of the identity added, and shuffled."""
     name = draw(st.sampled_from(sorted(SMALL_GROUPS)))
     n, gens = SMALL_GROUPS[name]
     images = draw(st.permutations(range(n)))
@@ -120,8 +153,10 @@ def _presentations(draw):
         q_inv = mul(_transvection(n, i, j, -c), q_inv)
     assert mul(q, q_inv).is_identity()
     conj = [mul(mul(q, x), q_inv) for x in gens]
-    redundant = mul(draw(st.sampled_from(conj)), draw(st.sampled_from(conj))) if conj else IntMatrix.identity(n)
-    return name, draw(st.permutations(conj + [redundant]))
+    ident = IntMatrix.identity(n)
+    redundant = mul(draw(st.sampled_from(conj)), draw(st.sampled_from(conj))) if conj else ident
+    copies = draw(st.lists(st.sampled_from(conj + [ident]), max_size=2))
+    return name, draw(st.permutations(conj + [redundant] + copies))
 
 
 def _invariants(rank, gens):
@@ -135,10 +170,12 @@ def _invariants(rank, gens):
 @given(_presentations())
 def test_invariant_under_presentation(presentation):
     """Verdicts and (order, det, det(1 - x)) rows do not depend on the basis
-    of the lattice, the order of the generators or redundant generators."""
+    of the lattice, the order of the generators or redundant generators, and
+    the closure lists the same elements as a breadth-first search."""
     name, gens = presentation
     rank, original = SMALL_GROUPS[name]
     assert _invariants(rank, gens) == _invariants(rank, original)
+    assert closure(gens, n=rank).elements == closure_bfs(gens, rank)
 
 
 class TestCharacteristic:
