@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 selftest failure, 2 input/parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -208,7 +209,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK if checked == passed else EXIT_SELFTEST
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call: building it costs
+    more than a wallpaper verdict. Every caller gets the same object."""
     parser = argparse.ArgumentParser(
         prog="eulerclass",
         description="Order of the Euler class of split crystallographic groups.",

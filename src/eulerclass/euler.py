@@ -58,10 +58,11 @@ def _char(char: "Characteristic | int") -> Characteristic:
 class OrderResult:
     """Verdict on the order of the Euler class, with the rules that decided it.
 
-    kind is one of "trivial", "known", "infinite", "bounded". For "known",
-    `order` holds the exact order (> 1; order 1 is reported as trivial).
-    For "bounded", `lower` divides the true order and `upper_p_part` bounds
-    its p-part only.
+    kind is one of "trivial", "known", "infinite", "bounded", "undecided".
+    For "known", `order` holds the exact order (> 1; order 1 is reported as
+    trivial). For "bounded", `lower` divides the true order and
+    `upper_p_part` bounds its p-part only. "undecided" says the order is
+    finite and nothing more.
     """
 
     kind: str
@@ -88,6 +89,10 @@ class OrderResult:
     def bounded(lower: int, upper_p_part: int, provenance: tuple[str, ...]) -> "OrderResult":
         return OrderResult("bounded", lower=lower, upper_p_part=upper_p_part, provenance=provenance)
 
+    @staticmethod
+    def undecided(provenance: tuple[str, ...]) -> "OrderResult":
+        return OrderResult("undecided", provenance=provenance)
+
     def same_verdict(self, other: "OrderResult") -> bool:
         return (self.kind, self.order, self.lower, self.upper_p_part) == (
             other.kind,
@@ -103,6 +108,8 @@ class OrderResult:
             return f"Known({self.order})"
         if self.kind == "infinite":
             return "Infinite"
+        if self.kind == "undecided":
+            return "Undecided"
         return f"Bounded({self.lower}, {self.upper_p_part})"
 
 
@@ -172,8 +179,8 @@ def exact_order(cryst: CrystGroup, char: Characteristic | int) -> OrderResult:
 
     Every return carries provenance: the ordered list of rule tags that fired.
     Rules cover finiteness, the transfer triviality rule, fixed-point-free
-    p-groups, prime-order point groups, and the complete rank-2 catalog; the
-    fallback reports divisor / p-part bounds only.
+    p-groups, prime-order point groups, and the complete rank-2 catalog. The
+    fallback reports divisor / p-part bounds at p > 0 and undecided at p = 0.
     """
     p = _char(char).p
     g = cryst.point_group
@@ -228,8 +235,8 @@ def exact_order(cryst: CrystGroup, char: Characteristic | int) -> OrderResult:
     if p > 0:
         prov.extend(["bounds-only", "p-part bound only"])
         return OrderResult.bounded(lower_bound(cryst, p), upper_bound_p_part(cryst, p), tuple(prov))
-    prov.extend(["bounds-only", "order finite, exact value outside the classification"])
-    return OrderResult.bounded(1, 1, tuple(prov))
+    prov.append("order finite, exact value outside the classification")
+    return OrderResult.undecided(tuple(prov))
 
 
 def fpf_group_shape_check(group: PointGroup, p: int) -> bool:

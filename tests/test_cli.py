@@ -1,9 +1,12 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
+import eulerclass.cli as cli
 from eulerclass.cli import main, run_selftest
+from eulerclass.fingroup import DEFAULT_CAP
 from eulerclass.groupfile import GroupFileError, parse_group_dict, parse_group_text
 from eulerclass.intmat import fixed_lattice_of_rank, mul
 
@@ -16,6 +19,8 @@ def _write(tmp_path, name, payload):
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
 P4M = {"name": "p4m", "rank": 2, "generators": [[[0, -1], [1, 0]], [[0, 1], [1, 0]]]}
+# every nontrivial element fixes an axis, no vector is fixed by all: no rule applies
+KLEIN3 = {"rank": 3, "generators": [[[-1, 0, 0], [0, -1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, -1]]]}
 
 
 class TestGroupFile:
@@ -112,6 +117,64 @@ class TestAnalyze:
         path = _write(tmp_path, "p4m.json", P4M)
         assert main(["analyze", path, "--char", "6"]) == 4
         assert capsys.readouterr().out == ""
+
+    def test_klein_four_blocks_at_zero_are_undecided(self, tmp_path, capsys):
+        path = _write(tmp_path, "klein3.json", KLEIN3)
+        assert main(["analyze", path, "--char", "0", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "Undecided"
+        assert report["finite_order"] is True
+        assert report["provenance"] == ["order finite, exact value outside the classification"]
+
+
+class TestParserReuse:
+    """main parses every call with one parser, and no call's options leak
+    into the next."""
+
+    def test_builds_parsers_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["analyze", str(GROUPS / "p4m.json"), "--char", "2", "--json"]) == 0
+        assert main(["catalog", "--json"]) == 0
+        capsys.readouterr()
+        # the top-level parser and its three subcommands, once
+        assert len(built) <= 4
+
+    def test_cap_does_not_leak(self, monkeypatch, capsys):
+        caps = []
+        make_cryst = cli.make_cryst
+
+        def recording(*args, cap):
+            caps.append(cap)
+            return make_cryst(*args, cap=cap)
+
+        monkeypatch.setattr(cli, "make_cryst", recording)
+        p4m = str(GROUPS / "p4m.json")
+        assert main(["analyze", p4m, "--char", "2", "--cap", "7"]) == 3
+        assert main(["analyze", p4m, "--char", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["point_group_order"] == 8
+        assert caps == [7, DEFAULT_CAP]
+
+    def test_usage_error_leaves_next_call_working(self, capsys):
+        p4m = str(GROUPS / "p4m.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", p4m])
+        assert exc.value.code == 2
+        assert "--char" in capsys.readouterr().err
+        assert main(["analyze", p4m, "--char", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "Known(4)"
+
+    def test_catalog_char_defaults_to_zero_after_analyze(self, capsys):
+        assert main(["analyze", str(GROUPS / "p3m1.json"), "--char", "5", "--json"]) == 0
+        capsys.readouterr()
+        assert main(["catalog", "p3m1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["characteristic"] == 0
 
 
 class TestCatalogCommand:

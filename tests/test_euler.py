@@ -354,11 +354,12 @@ class TestExactOrder:
         assert r.describe() == "Bounded(8, 128)"
         assert "bounds-only" in r.provenance
 
-    def test_bounded_fallback_at_p0_rank3(self):
-        c = make_cryst(3, _KLEIN3)
-        r = exact_order(c, 0)
-        assert r.kind == "bounded"
-        assert (r.lower, r.upper_p_part) == (1, 1)
+    @pytest.mark.parametrize("name", ["klein4-blocks", "A4"])
+    def test_undecided_fallback_at_p0_rank3(self, name):
+        r = exact_order(make_cryst(*SMALL_GROUPS[name]), 0)
+        assert r.kind == "undecided"
+        assert r.describe() == "Undecided"
+        assert r.provenance == ("order finite, exact value outside the classification",)
 
 
 class TestFpfShapeCheck:
